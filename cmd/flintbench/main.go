@@ -22,46 +22,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"flint/internal/exec"
 	"flint/internal/experiments"
 	"flint/internal/obs"
-	"flint/internal/rdd"
 	"flint/internal/serverless"
 )
-
-// benchEntry is one line of the machine-readable benchmark record
-// (-bench-out): a scenario's virtual makespan, real runtime and — for
-// detbench scenarios — the determinism fingerprints (outcome and trace
-// FNV-64a) that cmd/benchdiff gates against the committed anchor.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	VirtualS    float64 `json:"virtual_s,omitempty"`
-	WallS       float64 `json:"wall_s"`
-	OutcomeFNV  string  `json:"outcome_fnv,omitempty"`
-	TraceFNV    string  `json:"trace_fnv,omitempty"`
-	TraceEvents int     `json:"trace_events,omitempty"`
-	Allocs      uint64  `json:"allocs,omitempty"` // heap allocations during the run (benchdiff gates growth for columnar records)
-}
-
-// benchRecord is the BENCH_<rev>.json payload CI uploads as an artifact,
-// seeding the perf trajectory across revisions.
-type benchRecord struct {
-	Rev       string       `json:"rev,omitempty"`
-	Workers   int          `json:"workers"`
-	GoMaxProc int          `json:"gomaxprocs"`
-	Scale     float64      `json:"scale"`
-	Columnar  bool         `json:"columnar"`
-	ColCarry  bool         `json:"colcarry"`
-	Backend   string       `json:"backend,omitempty"`
-	Scenarios []benchEntry `json:"scenarios"`
-}
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor for the systems experiments")
@@ -71,14 +41,10 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's series as CSV files into this directory")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file covering the selected experiments to this path")
 	workers := flag.Int("workers", 0, "engine worker-pool width for task execution (0 = GOMAXPROCS; 1 = serial); any value produces identical results")
-	columnar := flag.Bool("columnar", true, "use the columnar data-plane kernels (false forces the generic Row path; results are identical either way)")
-	colcarry := flag.Bool("colcarry", true, "carry column batches end-to-end through shuffle/cache/checkpoint (false boxes at every operator boundary; results are identical either way)")
 	chaosSeeds := flag.Int("chaos-seeds", 25, "chaosbench: seeds per profile (1..n)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "chaosbench: run only this single seed (overrides -chaos-seeds; use to replay an artifact)")
 	chaosProfile := flag.String("chaos-profile", "", "chaosbench: run only this fault profile (default: all)")
 	chaosOut := flag.String("chaos-out", "", "chaosbench: dump violating schedules as replayable JSON artifacts into this directory")
-	benchOut := flag.String("bench-out", "", "write a machine-readable benchmark record (scenario -> virtual makespan + wall seconds) to this JSON file")
-	rev := flag.String("rev", "", "revision identifier recorded in the -bench-out file")
 	backend := flag.String("backend", "vm", "execution backend: vm (spot servers, local state) or fn (function slots, externalized state); workload outcomes are identical either way")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: flintbench [flags] <experiment>...\nexperiments: %v\n", names())
@@ -94,8 +60,6 @@ func main() {
 		args = names()
 	}
 	exec.SetDefaultWorkers(*workers)
-	rdd.SetColumnar(*columnar)
-	rdd.SetColumnCarry(*colcarry)
 	switch *backend {
 	case "vm":
 		// Default: the engine's built-in VM backend.
@@ -126,25 +90,13 @@ func main() {
 	if *chaosProfile != "" {
 		chaosOpts.Profiles = []string{*chaosProfile}
 	}
-	record := benchRecord{
-		Rev: *rev, Workers: *workers, GoMaxProc: runtime.GOMAXPROCS(0), Scale: *scale,
-		Columnar: *columnar, ColCarry: *colcarry, Backend: *backend,
-	}
 	for _, name := range args {
 		sw := obs.Stopwatch()
-		entries, err := run(os.Stdout, name, s, *runs, *markets, *portfolioMarkets, *csvDir, chaosOpts)
-		if err != nil {
+		if err := run(os.Stdout, name, s, *runs, *markets, *portfolioMarkets, *csvDir, chaosOpts); err != nil {
 			fmt.Fprintf(os.Stderr, "flintbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		wallS := sw()
-		// Experiments that don't report per-scenario entries get one
-		// entry covering the whole run.
-		if len(entries) == 0 {
-			entries = []benchEntry{{Name: name, WallS: wallS}}
-		}
-		record.Scenarios = append(record.Scenarios, entries...)
-		fmt.Printf("[%s completed in %.3fs]\n\n", name, wallS)
+		fmt.Printf("[%s completed in %.3fs]\n\n", name, sw())
 	}
 	if bundle != nil {
 		if err := writeTrace(*traceOut, bundle); err != nil {
@@ -152,25 +104,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, record); err != nil {
-			fmt.Fprintf(os.Stderr, "flintbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeBench dumps the benchmark record as indented JSON.
-func writeBench(path string, rec benchRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("bench: %d scenarios written to %s\n", len(rec.Scenarios), path)
-	return nil
 }
 
 // writeTrace dumps the bundle's event buffer as Chrome trace_event JSON,
@@ -210,85 +143,70 @@ func export(csvDir string, res csvWriter, err error) error {
 	return res.WriteCSV(csvDir)
 }
 
-// run executes one experiment. A non-nil entries slice carries
-// per-scenario benchmark lines for -bench-out; experiments without
-// internal scenarios return nil and the caller records their wall time.
-func run(w io.Writer, name string, s experiments.Scale, runs, markets, portfolioMarkets int, csvDir string, chaosOpts experiments.ChaosbenchOpts) ([]benchEntry, error) {
+// run executes one experiment.
+func run(w io.Writer, name string, s experiments.Scale, runs, markets, portfolioMarkets int, csvDir string, chaosOpts experiments.ChaosbenchOpts) error {
 	switch name {
 	case "fig2":
 		res, err := experiments.Fig2(w)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig3":
 		res, err := experiments.Fig3(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig4":
 		res, err := experiments.Fig4(w, markets)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig6":
 		res, err := experiments.Fig6(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig7":
 		res, err := experiments.Fig7(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig8":
 		res, err := experiments.Fig8(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig9":
 		res, err := experiments.Fig9(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig10":
 		res, err := experiments.Fig10(w, runs)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "fig11":
 		res, err := experiments.Fig11(w, runs)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "portfolio":
 		res, err := experiments.PortfolioSweep(w, portfolioMarkets, runs)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	case "ablations":
 		if _, err := experiments.AblationFrontier(w, s); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := experiments.AblationShuffle(w, s); err != nil {
-			return nil, err
+			return err
 		}
 		experiments.AblationDiversification(w)
 		experiments.StorageOverhead(w)
-		return nil, nil
+		return nil
 	case "detbench":
 		res, err := experiments.Detbench(w, s)
-		if err != nil {
-			return nil, err
-		}
-		entries := make([]benchEntry, 0, len(res.Scenarios))
-		for _, sc := range res.Scenarios {
-			entries = append(entries, benchEntry{
-				Name: "detbench/" + sc.Name, VirtualS: sc.VirtualS, WallS: sc.WallS,
-				OutcomeFNV:  fmt.Sprintf("%016x", sc.OutcomeFNV),
-				TraceFNV:    fmt.Sprintf("%016x", sc.TraceFNV),
-				TraceEvents: sc.TraceN,
-				Allocs:      sc.Allocs,
-			})
-		}
-		return entries, export(csvDir, res, nil)
+		return export(csvDir, res, err)
 	case "chaosbench":
 		res, err := experiments.Chaosbench(w, s, chaosOpts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := export(csvDir, res, nil); err != nil {
-			return nil, err
+			return err
 		}
 		// A violated invariant is a failed run: CI gates on the exit code
 		// and uploads the dumped schedules as repro artifacts.
 		if n := res.Violations(); n > 0 {
-			return nil, fmt.Errorf("%d of %d runs violated invariants (replayable schedules in %q)",
+			return fmt.Errorf("%d of %d runs violated invariants (replayable schedules in %q)",
 				n, len(res.Runs), chaosOpts.ArtifactDir)
 		}
-		return nil, nil
+		return nil
 	case "serverless":
 		res, err := experiments.Serverless(w, s)
-		return nil, export(csvDir, res, err)
+		return export(csvDir, res, err)
 	}
-	return nil, fmt.Errorf("unknown experiment %q (want one of %v)", name, names())
+	return fmt.Errorf("unknown experiment %q (want one of %v)", name, names())
 }

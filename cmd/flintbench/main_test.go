@@ -1,10 +1,11 @@
 package main
 
 import (
-	"encoding/json"
+	"encoding/csv"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestNamesCoverAllExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	_, err := run(io.Discard, "fig99", 1, 0, 8, 16, "", experiments.ChaosbenchOpts{})
+	err := run(io.Discard, "fig99", 1, 0, 8, 16, "", experiments.ChaosbenchOpts{})
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("err = %v", err)
 	}
@@ -33,7 +34,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunFastExperiments(t *testing.T) {
 	for _, name := range []string{"fig2", "fig4"} {
-		if _, err := run(io.Discard, name, 1, 2, 6, 16, "", experiments.ChaosbenchOpts{}); err != nil {
+		if err := run(io.Discard, name, 1, 2, 6, 16, "", experiments.ChaosbenchOpts{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -41,47 +42,52 @@ func TestRunFastExperiments(t *testing.T) {
 
 func TestRunWithCSVExport(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := run(io.Discard, "fig2", 1, 2, 6, 16, dir, experiments.ChaosbenchOpts{}); err != nil {
+	if err := run(io.Discard, "fig2", 1, 2, 6, 16, dir, experiments.ChaosbenchOpts{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRunDetbench exercises the determinism scenarios end to end at a
-// small scale: per-scenario bench entries, the diffable CSV, and the
-// filtered Prometheus dumps.
+// small scale: the diffable CSV (one row per scenario, no wall-clock
+// columns) and one filtered Prometheus dump per CSV row.
 func TestRunDetbench(t *testing.T) {
 	dir := t.TempDir()
-	entries, err := run(io.Discard, "detbench", 0.2, 0, 8, 16, dir, experiments.ChaosbenchOpts{})
+	if err := run(io.Discard, "detbench", 0.2, 0, 8, 16, dir, experiments.ChaosbenchOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "detbench.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("detbench returned no bench entries")
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name, "detbench/") || e.VirtualS <= 0 {
-			t.Fatalf("bench entry = %+v", e)
+	if len(recs) < 2 {
+		t.Fatalf("detbench.csv has no scenario rows: %v", recs)
+	}
+	for _, col := range recs[0] {
+		if strings.Contains(col, "wall") {
+			t.Fatalf("detbench.csv must not carry wall-clock columns: %v", recs[0])
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "detbench.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), "wall") {
-		t.Fatalf("detbench.csv must not carry wall-clock columns:\n%s", data)
-	}
-	proms, err := filepath.Glob(filepath.Join(dir, "detbench_*_metrics.prom"))
-	if err != nil || len(proms) != len(entries) {
-		t.Fatalf("prom dumps = %v (err %v), want %d", proms, err, len(entries))
-	}
-	for _, p := range proms {
+	for _, row := range recs[1:] {
+		if v, err := strconv.ParseFloat(row[1], 64); err != nil || v <= 0 {
+			t.Fatalf("scenario %s: virtual_s = %q", row[0], row[1])
+		}
+		p := filepath.Join(dir, "detbench_"+row[0]+"_metrics.prom")
 		text, err := os.ReadFile(p)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("scenario %s has no prom dump: %v", row[0], err)
 		}
 		if strings.Contains(string(text), "flint_exec_") {
 			t.Fatalf("%s leaks nondeterministic flint_exec_ metrics", p)
 		}
+	}
+	proms, err := filepath.Glob(filepath.Join(dir, "detbench_*_metrics.prom"))
+	if err != nil || len(proms) != len(recs)-1 {
+		t.Fatalf("prom dumps = %v (err %v), want one per CSV row", proms, err)
 	}
 }
 
@@ -90,33 +96,10 @@ func TestRunDetbench(t *testing.T) {
 func TestRunChaosbench(t *testing.T) {
 	dir := t.TempDir()
 	opts := experiments.ChaosbenchOpts{Seeds: []int64{1}, Profiles: []string{"straggler"}}
-	if _, err := run(io.Discard, "chaosbench", 0.15, 0, 8, 16, dir, opts); err != nil {
+	if err := run(io.Discard, "chaosbench", 0.15, 0, 8, 16, dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "chaosbench.csv")); err != nil {
 		t.Fatalf("chaosbench.csv not exported: %v", err)
-	}
-}
-
-// TestWriteBench checks the BENCH_<rev>.json shape.
-func TestWriteBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	rec := benchRecord{
-		Rev: "abc123", Workers: 4, GoMaxProc: 8, Scale: 1,
-		Scenarios: []benchEntry{{Name: "detbench/wordcount", VirtualS: 12.5, WallS: 0.03}},
-	}
-	if err := writeBench(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got benchRecord
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Rev != rec.Rev || len(got.Scenarios) != 1 || got.Scenarios[0].Name != rec.Scenarios[0].Name {
-		t.Fatalf("round-trip = %+v", got)
 	}
 }

@@ -3,18 +3,16 @@
 //
 //	go run ./cmd/flintlint ./...
 //
-// Exit status: 0 when every finding is covered by the committed
-// baseline, 1 on any new finding or stale baseline entry, 2 on a usage
-// or load error. The package pattern argument is accepted for muscle-
-// memory compatibility with go vet; the analyzer always loads the whole
-// module containing the working directory.
+// Exit status: 0 when there are no findings, 1 on any finding, 2 on a
+// usage or load error. The package pattern argument is accepted for
+// muscle-memory compatibility with go vet; the analyzer always loads the
+// whole module containing the working directory.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -27,11 +25,8 @@ func main() {
 
 func run() int {
 	var (
-		baselinePath  = flag.String("baseline", "", "baseline file (default <module root>/.flintlint-baseline)")
-		writeBaseline = flag.Bool("write-baseline", false, "rewrite the baseline to accept every current finding")
-		listAll       = flag.Bool("all", false, "print baselined findings too (marked [baselined])")
-		checksFlag    = flag.String("checks", "", "comma-separated subset of checks to run (default all)")
-		catalog       = flag.Bool("catalog", false, "print the check catalog and exit")
+		checksFlag = flag.String("checks", "", "comma-separated subset of checks to run (default all)")
+		catalog    = flag.Bool("catalog", false, "print the check catalog and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: flintlint [flags] [./...]\n")
@@ -58,17 +53,14 @@ func run() int {
 	}
 
 	opts := lint.Options{}
-	var selected map[string]bool // nil = full registry
 	if *checksFlag != "" {
 		want := make(map[string]bool)
 		for _, name := range strings.Split(*checksFlag, ",") {
 			want[strings.TrimSpace(name)] = true
 		}
-		selected = make(map[string]bool)
 		for _, c := range lint.Checks() {
 			if want[c.Name] {
 				opts.Checks = append(opts.Checks, c)
-				selected[c.Name] = true
 				delete(want, c.Name)
 			}
 		}
@@ -92,75 +84,13 @@ func run() int {
 		return 2
 	}
 
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(root, ".flintlint-baseline")
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-
-	if *writeBaseline {
-		if selected != nil {
-			fmt.Fprintln(os.Stderr, "flintlint: -write-baseline with -checks would drop every other check's entries; run it without -checks")
-			return 2
-		}
-		if err := os.WriteFile(bpath, lint.FormatBaseline(findings), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "flintlint: %v\n", err)
-			return 2
-		}
-		fmt.Printf("flintlint: wrote %d finding(s) to %s\n", len(findings), bpath)
-		return 0
-	}
-
-	base := lint.ParseBaseline(nil)
-	if data, err := os.ReadFile(bpath); err == nil {
-		base = lint.ParseBaseline(data)
-	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "flintlint: %v\n", err)
-		return 2
-	}
-	if selected != nil {
-		// A subset run cannot produce findings for unselected checks;
-		// their baseline entries are out of scope, not stale.
-		base.Restrict(selected)
-	}
-
-	fresh, stale := base.Apply(findings)
-	if *listAll {
-		freshSet := make(map[string]int)
-		for _, f := range fresh {
-			freshSet[f.String()]++
-		}
-		for _, f := range findings {
-			if freshSet[f.String()] > 0 {
-				freshSet[f.String()]--
-				fmt.Println(f)
-			} else {
-				fmt.Printf("%s [baselined]\n", f)
-			}
-		}
-	} else {
-		for _, f := range fresh {
-			fmt.Println(f)
-		}
-	}
-	for _, s := range stale {
-		fmt.Printf("stale baseline entry (fixed? regenerate with -write-baseline): %s\n", s)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "flintlint: %d new finding(s), %d stale baseline entr%s\n",
-			len(fresh), len(stale), plural(len(stale)))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "flintlint: %d finding(s)\n", len(findings))
 		return 1
 	}
-	if n := base.Len(); n > 0 {
-		fmt.Printf("flintlint: clean (%d baselined finding(s) accepted)\n", n)
-	} else {
-		fmt.Println("flintlint: clean")
-	}
+	fmt.Println("flintlint: clean")
 	return 0
-}
-
-func plural(n int) string {
-	if n == 1 {
-		return "y"
-	}
-	return "ies"
 }

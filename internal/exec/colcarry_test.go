@@ -75,45 +75,29 @@ func TestShuffleFetchMaterializeBatchVsRows(t *testing.T) {
 	}
 }
 
-// Engine round trip: a caching + checkpointing + revoking run must
-// produce identical results and stats with column carry on and off —
-// the carry plane changes the partition representation, never the
-// values, sizes or schedule.
-func TestEngineColumnCarryOnOffIdentical(t *testing.T) {
-	build := func() *rdd.RDD {
-		c := rdd.NewContext(4)
-		src := c.Parallelize("src", 4, 16, func(part int) []rdd.Row {
-			return typedKVRows(3000, 200, int64(part)+101)
-		})
-		red := src.ReduceByKeyInt("sum", 4, func(a, b int) int { return a + b }).Persist()
-		grp := src.GroupByKey("grp", 4)
-		return red.Join("join", grp, 4)
+// Engine round trip: a caching + checkpointing + revoking run over the
+// column-carrying plane must collect exactly the rows the engine-free
+// row-plane evaluator produces — carry changes the partition
+// representation, never the values.
+func TestEngineColumnCarryMatchesLocal(t *testing.T) {
+	c := rdd.NewContext(4)
+	src := c.Parallelize("src", 4, 16, func(part int) []rdd.Row {
+		return typedKVRows(3000, 200, int64(part)+101)
+	})
+	red := src.ReduceByKeyInt("sum", 4, func(a, b int) int { return a + b }).Persist()
+	target := red.Join("join", src.GroupByKey("grp", 4), 4)
+	want := rdd.CollectLocal(target)
+
+	tb := MustTestbed(TestbedOpts{Nodes: 5, Policy: &alwaysCheckpoint{}})
+	tb.RevokeNodes(30, 2, true)
+	res, err := tb.Engine.RunJob(target, ActionCollect)
+	if err != nil {
+		t.Fatal(err)
 	}
-	type outcome struct {
-		rows  string
-		stats JobStats
+	if fmt.Sprintf("%#v", res.Rows) != fmt.Sprintf("%#v", want) {
+		t.Fatal("collected rows differ from local evaluation")
 	}
-	run := func() outcome {
-		target := build()
-		tb := MustTestbed(TestbedOpts{Nodes: 5, Policy: &alwaysCheckpoint{}})
-		tb.RevokeNodes(30, 2, true)
-		res, err := tb.Engine.RunJob(target, ActionCollect)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{rows: fmt.Sprintf("%#v", res.Rows), stats: res.Stats}
-	}
-	on := run()
-	rdd.SetColumnCarry(false)
-	defer rdd.SetColumnCarry(true)
-	off := run()
-	if on.rows != off.rows {
-		t.Fatal("collected rows differ carry on vs off")
-	}
-	if !reflect.DeepEqual(on.stats, off.stats) {
-		t.Fatalf("job stats differ carry on vs off:\non  %+v\noff %+v", on.stats, off.stats)
-	}
-	if off.stats.CheckpointReads == 0 && off.stats.CheckpointTasks == 0 {
+	if res.Stats.CheckpointReads == 0 && res.Stats.CheckpointTasks == 0 {
 		t.Fatal("fixture never checkpointed; the round trip proved nothing")
 	}
 }

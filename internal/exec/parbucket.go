@@ -4,7 +4,8 @@ package exec
 // Parallel map-side shuffle bucketing.
 //
 // A map task splits its partition into NumOut buckets (and runs the
-// optional map-side combine per bucket). The two-pass exact-size scheme
+// optional map-side combine per bucket) through one entry,
+// bucketAndCombineBatch. The two-pass exact-size scheme
 // (rdd.BucketIndexRange + rdd.ScatterRange) is chunkable: per-chunk
 // bucket counts roll up into global prefix offsets, giving every
 // (chunk, bucket) pair its own disjoint destination segment, so the
@@ -65,22 +66,86 @@ func (e *Engine) releaseHelpers(helpers int) {
 	}
 }
 
-// bucketAndCombine buckets one map task's rows and applies the map-side
-// combine, recruiting idle pool capacity for large partitions. Output is
-// byte-identical to dep.BucketRows + serial per-bucket Combine.
-func (e *Engine) bucketAndCombine(dep *rdd.ShuffleDep, rows []rdd.Row) [][]rdd.Row {
-	helpers := e.recruitHelpers(len(rows))
-	var buckets [][]rdd.Row
-	if helpers == 0 {
-		buckets = dep.BucketRows(rows)
-	} else {
-		buckets = parallelBuckets(dep, rows, helpers+1)
+// bucketAndCombineBatch buckets one map task's output batch and applies
+// the map-side combine, recruiting idle pool capacity for large
+// partitions. A Columnar dependency gets column buckets: a typed batch
+// scatters its columns directly (parbucketcol.go), a tail-only one is
+// bucketed as rows and each bucket columnized. Any other dependency —
+// or one with a custom Partitioner, which sees boxed rows — gets
+// tail-only buckets combined via Combine. Either way bucket b holds the
+// values dep.BucketRows plus a per-bucket Combine over the boxed rows
+// would produce.
+func (e *Engine) bucketAndCombineBatch(dep *rdd.ShuffleDep, b *rdd.ColBatch) []*rdd.ColBatch {
+	helpers := e.recruitHelpers(b.Len())
+	defer e.releaseHelpers(helpers)
+	parts := helpers + 1
+	if columnar(dep) && b.HasCols() {
+		buckets := parallelBucketBatch(dep, b, parts)
+		finishBuckets(dep, buckets, buckets, parts, columnize)
+		return buckets
 	}
-	if dep.Combine != nil {
-		combineBuckets(dep, buckets, helpers+1)
-	}
-	e.releaseHelpers(helpers)
+	rows := parallelBuckets(dep, b.Rows(), parts)
+	buckets := make([]*rdd.ColBatch, len(rows))
+	finishBuckets(dep, rows, buckets, parts, combineRows)
 	return buckets
+}
+
+// columnar reports whether dep's map outputs travel as column buckets.
+func columnar(dep *rdd.ShuffleDep) bool { return dep.Columnar && dep.Partitioner == nil }
+
+// combineRows finishes one bucket of boxed rows, wrapping it exactly
+// once: columnized for a Columnar dependency (the ingress point where
+// rows become columns), else combined via Combine and wrapped tail-only.
+func combineRows(dep *rdd.ShuffleDep, rows []rdd.Row) *rdd.ColBatch {
+	if columnar(dep) {
+		return columnize(dep, rdd.WrapRows(rows))
+	}
+	if len(rows) > 0 && dep.Combine != nil {
+		rows = dep.Combine(rows)
+	}
+	return rdd.WrapRows(rows)
+}
+
+// columnize finishes one bucket of a Columnar dependency: the batch
+// combine (CombineCol) for reduce deps; for deps without a combine, key
+// extraction (values keep their boxes) so grouping and joining
+// downstream probe typed keys. Empty buckets pass through untouched.
+func columnize(dep *rdd.ShuffleDep, bk *rdd.ColBatch) *rdd.ColBatch {
+	switch {
+	case bk.Len() == 0:
+	case dep.CombineCol != nil:
+		return dep.CombineCol(bk)
+	case !bk.HasCols():
+		return rdd.ExtractBatch(bk.Rows(), false)
+	}
+	return bk
+}
+
+// finishBuckets sets out[i] = finish(dep, in[i]) for every bucket,
+// fanning buckets across parts goroutines that take indexes from a
+// shared cursor. finish is pure per bucket and buckets are disjoint, so
+// any schedule produces the serial result. finish is a plain function,
+// not a closure, so the serial path allocates nothing.
+func finishBuckets[T any](dep *rdd.ShuffleDep, in []T, out []*rdd.ColBatch, parts int, finish func(*rdd.ShuffleDep, T) *rdd.ColBatch) {
+	if parts > len(in) {
+		parts = len(in)
+	}
+	if parts <= 1 {
+		for i, bk := range in {
+			out[i] = finish(dep, bk)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	runChunks(parts, func(int) {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(in) {
+				return
+			}
+			out[i] = finish(dep, in[i])
+		}
+	})
 }
 
 // parallelBuckets is dep.BucketRows chunked across parts goroutines
@@ -130,35 +195,6 @@ func parallelBuckets(dep *rdd.ShuffleDep, rows []rdd.Row, parts int) [][]rdd.Row
 		rdd.ScatterRange(rows, lo[c], lo[c+1], idx, next[c], flat)
 	})
 	return buckets
-}
-
-// combineBuckets applies the map-side combine to every non-empty bucket,
-// fanning buckets across parts goroutines. Combine is pure per bucket
-// and buckets are disjoint, so any schedule produces the serial result.
-func combineBuckets(dep *rdd.ShuffleDep, buckets [][]rdd.Row, parts int) {
-	if parts > len(buckets) {
-		parts = len(buckets)
-	}
-	if parts <= 1 {
-		for b := range buckets {
-			if len(buckets[b]) > 0 {
-				buckets[b] = dep.Combine(buckets[b])
-			}
-		}
-		return
-	}
-	var cursor atomic.Int64
-	runChunks(parts, func(int) {
-		for {
-			b := int(cursor.Add(1)) - 1
-			if b >= len(buckets) {
-				return
-			}
-			if len(buckets[b]) > 0 {
-				buckets[b] = dep.Combine(buckets[b])
-			}
-		}
-	})
 }
 
 // runChunks runs fn(0..parts-1) across parts goroutines and waits.

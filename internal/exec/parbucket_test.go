@@ -72,39 +72,75 @@ func TestParallelBucketsCustomPartitioner(t *testing.T) {
 	}
 }
 
-// combineBuckets at any width must equal the serial per-bucket combine.
+// bucketAndCombineBatch must equal dep.BucketRows plus a per-bucket
+// Combine over the boxed rows, with or without helpers, on every plane:
+// typed and tail-only batches into Columnar deps (with and without a
+// batch combine), a typed batch into a row-plane dep, and a custom
+// Partitioner, which keeps a Columnar dep on the row plane. Row-plane
+// buckets must stay tail-only.
 func TestCombineBucketsMatchesSerial(t *testing.T) {
-	sum := func(rows []rdd.Row) []rdd.Row {
-		total := 0
-		for _, r := range rows {
-			total += r.(rdd.KV).V.(int)
-		}
-		return []rdd.Row{rdd.KV{K: rows[0].(rdd.KV).K, V: total}}
+	rng := rand.New(rand.NewSource(0x5eedcb01))
+	rows := make([]rdd.Row, parBucketMinRows*3)
+	for i := range rows {
+		rows[i] = rdd.KV{K: rng.Intn(4096), V: rng.Intn(100)}
 	}
-	build := func() [][]rdd.Row {
-		rng := rand.New(rand.NewSource(0x5eedcb01))
-		rows := make([]rdd.Row, 4000)
-		for i := range rows {
-			rows[i] = rdd.KV{K: rng.Intn(32), V: i}
-		}
-		dep := &rdd.ShuffleDep{NumOut: 32}
-		return dep.BucketRows(rows)
+	c := rdd.NewContext(4)
+	src := c.Parallelize("src", 1, 16, func(int) []rdd.Row { return rows })
+	shuffleOf := func(r *rdd.RDD) *rdd.ShuffleDep { return r.Deps[0].(*rdd.ShuffleDep) }
+	sumInt := func(a, b int) int { return a + b }
+	reduceInt := shuffleOf(src.ReduceByKeyInt("ri", 32, sumInt))
+	group := shuffleOf(src.GroupByKey("g", 32))
+	generic := shuffleOf(src.ReduceByKey("r", 32, func(a, b rdd.Row) rdd.Row { return a.(int) + b.(int) }))
+	custom := *reduceInt
+	custom.Partitioner = func(r rdd.Row, numOut int) int { return r.(rdd.KV).V.(int) % numOut }
+
+	typed := rdd.ExtractBatch(rows, true)
+	tail := rdd.WrapRows(rows)
+	cases := []struct {
+		name     string
+		dep      *rdd.ShuffleDep
+		in       *rdd.ColBatch
+		rowPlane bool
+	}{
+		{"typed-into-columnar-combine", reduceInt, typed, false},
+		{"typed-into-columnar", group, typed, false},
+		{"tail-into-columnar-combine", reduceInt, tail, false},
+		{"tail-into-columnar", group, tail, false},
+		{"typed-into-row-combine", generic, typed, true},
+		{"custom-partitioner", &custom, typed, true},
 	}
-	dep := &rdd.ShuffleDep{NumOut: 32, Combine: sum}
-	want := build()
-	combineBuckets(dep, want, 1)
-	for parts := 2; parts <= 8; parts++ {
-		got := build()
-		combineBuckets(dep, got, parts)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parts=%d: combined buckets differ from serial", parts)
+	for _, tc := range cases {
+		want := tc.dep.BucketRows(rows)
+		for b, rs := range want {
+			if len(rs) > 0 && tc.dep.Combine != nil {
+				want[b] = tc.dep.Combine(rs)
+			}
+		}
+		for _, helpers := range []int{0, 7} {
+			e := &Engine{workers: helpers + 1, scatterSem: make(chan struct{}, helpers)}
+			got := e.bucketAndCombineBatch(tc.dep, tc.in)
+			if len(got) != len(want) {
+				t.Fatalf("%s helpers=%d: %d buckets, want %d", tc.name, helpers, len(got), len(want))
+			}
+			for b, bk := range got {
+				if !reflect.DeepEqual(bk.Rows(), want[b]) {
+					t.Fatalf("%s helpers=%d: bucket %d differs from BucketRows + Combine", tc.name, helpers, b)
+				}
+				if tc.rowPlane && bk.HasCols() {
+					t.Fatalf("%s helpers=%d: row-plane bucket %d carries columns", tc.name, helpers, b)
+				}
+			}
+			if len(e.scatterSem) != 0 {
+				t.Fatalf("%s helpers=%d: %d helper tokens leaked", tc.name, helpers, len(e.scatterSem))
+			}
 		}
 	}
 }
 
-// bucketAndCombine through an engine wide enough to hand out helpers
-// must still equal the serial reference (exercises the semaphore path,
-// and under -race the goroutine discipline of both passes).
+// bucketAndCombineBatch through an engine wide enough to hand out
+// helpers must equal the serial reference round after round (exercises
+// the semaphore path, and under -race the goroutine discipline of both
+// passes).
 func TestBucketAndCombineWithHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eedbc02))
 	rows := make([]rdd.Row, parBucketMinRows*3)
@@ -119,9 +155,11 @@ func TestBucketAndCombineWithHelpers(t *testing.T) {
 	want := dep.BucketRows(rows)
 	e := &Engine{workers: 8, scatterSem: make(chan struct{}, 7)}
 	for round := 0; round < 4; round++ {
-		got := e.bucketAndCombine(dep, rows)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: helper-assisted buckets differ from serial", round)
+		got := e.bucketAndCombineBatch(dep, rdd.WrapRows(rows))
+		for b, bk := range got {
+			if !reflect.DeepEqual(bk.Rows(), want[b]) {
+				t.Fatalf("round %d: helper-assisted bucket %d differs from serial", round, b)
+			}
 		}
 		if len(e.scatterSem) != 0 {
 			t.Fatalf("round %d: %d helper tokens leaked", round, len(e.scatterSem))

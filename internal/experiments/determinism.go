@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,7 +40,6 @@ type DetbenchScenario struct {
 	TraceN     int     // events in the trace ring
 	TraceFNV   uint64  // FNV-64a over every event field, in ring order
 	WallS      float64 // real seconds (excluded from CSV)
-	Allocs     uint64  // heap allocations during the run (excluded from CSV, like wall time)
 
 	// MetricsText is the scenario's Prometheus dump with flint_exec_
 	// lines removed — the diffable metric snapshot.
@@ -170,15 +168,12 @@ func runDetScenario(sc detScenario) (detOutcome, error) {
 	if sc.revokeAt > 0 && sc.revokeK > 0 {
 		b.tb.RevokeNodes(sc.revokeAt, sc.revokeK, true)
 	}
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
 	sw := obs.Stopwatch()
 	outcome, virtualS, err := sc.run(b, sc.scale)
 	if err != nil {
 		return detOutcome{}, err
 	}
 	wall := sw()
-	runtime.ReadMemStats(&msAfter)
 	snap := b.tb.Engine.Snapshot()
 	events := bundle.Tracer.Events()
 	out := detOutcome{workers: b.tb.Engine.Workers()}
@@ -191,7 +186,6 @@ func runDetScenario(sc detScenario) (detOutcome, error) {
 	out.TraceN = len(events)
 	out.TraceFNV = fnvEvents(events)
 	out.WallS = wall
-	out.Allocs = msAfter.Mallocs - msBefore.Mallocs
 	text, err := filteredPrometheus(bundle)
 	if err != nil {
 		return detOutcome{}, err
@@ -268,12 +262,14 @@ func canonIntFloatMap(m map[int]float64) string {
 }
 
 // WriteCSV exports the diffable snapshot: detbench.csv (no wall-clock
-// columns) plus one filtered Prometheus dump per scenario.
+// columns, virtual_s at full precision) plus one filtered Prometheus
+// dump per scenario. At scale 1 detbench.csv must equal the committed
+// testdata/detbench.csv (TestDetbenchGolden).
 func (r DetbenchResult) WriteCSV(dir string) error {
 	var rows [][]string
 	for _, sc := range r.Scenarios {
 		rows = append(rows, []string{
-			sc.Name, ftoa(sc.VirtualS), strconv.Itoa(sc.Tasks), strconv.Itoa(sc.Killed),
+			sc.Name, ftoa17(sc.VirtualS), strconv.Itoa(sc.Tasks), strconv.Itoa(sc.Killed),
 			strconv.FormatInt(sc.Recomputed, 10),
 			fmt.Sprintf("%016x", sc.OutcomeFNV),
 			strconv.Itoa(sc.TraceN),

@@ -30,8 +30,7 @@
 //
 //	//lint:allow <check> <reason>
 //
-// comment on the offending line or the line directly above it, or
-// accepted wholesale in the committed baseline file (see baseline.go and
+// comment on the offending line or the line directly above it (see
 // docs/LINT.md).
 package lint
 
@@ -40,7 +39,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -55,13 +53,6 @@ type Finding struct {
 // String renders the conventional file:line:col [check] message form.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
-}
-
-// Key is the position-independent identity used by the baseline: line
-// and column are deliberately excluded so unrelated edits above a
-// finding do not invalidate baseline entries.
-func (f Finding) Key() string {
-	return fmt.Sprintf("%s: [%s] %s", filepath.ToSlash(f.Pos.Filename), f.Check, f.Message)
 }
 
 // Check is one registered analysis. Per-package checks set Run and see
@@ -179,7 +170,7 @@ func buildImportNames(files []*ast.File) map[*ast.File]map[string]string {
 
 // directiveCheck is the name under which malformed //lint:allow
 // comments are reported. It is not a registered Check: it cannot be
-// suppressed or baselined away, because a malformed directive is
+// suppressed, because a malformed directive is
 // exactly the thing that would silently disable a suppression.
 const directiveCheck = "directive"
 

@@ -14,8 +14,8 @@ import (
 //  1. X.Lock() / X.RLock() without a matching deferred Unlock/RUnlock
 //     in the same function. Manual unlock pairs survive today's code
 //     paths but not the next early return or panic inserted above
-//     them. (The obs hot paths that measurably cannot afford defer are
-//     accepted in the committed baseline, not silently exempted.)
+//     them. (A hot path that measurably cannot afford defer carries an
+//     //lint:allow with its reason, not a silent exemption.)
 //  2. A channel send while the lock is (statically, by source
 //     position) still held. Sends can block indefinitely; blocking
 //     with a mutex held is how the event loop deadlocks.

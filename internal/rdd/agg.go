@@ -11,7 +11,7 @@ package rdd
 // going; the assigned slots (and therefore first-seen order, and
 // therefore the emitted rows) are identical on every path, which is what
 // keeps recomputation after a revocation byte-identical to the original
-// run (see DESIGN.md "Data-plane performance").
+// run (see DESIGN.md "Data plane").
 
 // aggHintCap bounds how many key slots are preallocated from a row-count
 // hint: below it, sizing is exact; above it, maps and slices grow

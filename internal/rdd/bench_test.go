@@ -143,7 +143,7 @@ func BenchmarkReduceByKey(b *testing.B) {
 
 // BenchmarkJoin exercises the reduce-side join body: aggregate both
 // inputs by key, emit the cross product per key. Base cases run the
-// columnar grouping kernels; -row variants force the generic path.
+// columnar grouping kernels over boxed rows.
 func BenchmarkJoin(b *testing.B) {
 	const n = 1 << 14
 	build := func(left, right []Row) *RDD {
@@ -163,7 +163,7 @@ func BenchmarkJoin(b *testing.B) {
 	for _, c := range cases {
 		j := build(c.left, c.right)
 		inputs := [][]Row{c.left, c.right}
-		body := func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out := j.Fn(0, inputs)
@@ -171,12 +171,6 @@ func BenchmarkJoin(b *testing.B) {
 					b.Fatal("empty join")
 				}
 			}
-		}
-		b.Run(c.name, body)
-		b.Run(c.name+"-row", func(b *testing.B) {
-			SetColumnar(false)
-			defer SetColumnar(true)
-			body(b)
 		})
 		// -col measures the carry plane: both inputs arrive as typed
 		// key-column batches (the shuffle-ingress form ExtractBatch

@@ -2,17 +2,14 @@
 package rdd
 
 // Columnar batch kernels. The hot keyed operators — reduce/combine,
-// group, join, coGroup and shuffle bucketing — have two interchangeable
-// implementations:
-//
-//   - the generic Row path (agg.go / keyIndex): interface-boxed keys
-//     probed through Go maps, values folded through func(a, b Row) Row
-//     closures whose every result is re-boxed;
-//   - the columnar path (this file + coltable.go): keys extracted once
-//     into typed columns, probed through open-addressed slot tables, and
-//     — for the ReduceByKeyInt/ReduceByKeyFloat64 operators — values
-//     folded unboxed, boxing one accumulator per key at emission instead
-//     of one per merged row.
+// group, join, coGroup and shuffle bucketing — run on typed columns
+// whenever a batch's keys are int, int64 or string: keys are extracted
+// once into typed columns, probed through open-addressed slot tables
+// (coltable.go), and — for the ReduceByKeyInt/ReduceByKeyFloat64
+// operators — values are folded unboxed, boxing one accumulator per key
+// at emission instead of one per merged row. Every other batch runs the
+// generic Row path (agg.go / keyIndex): interface-boxed keys probed
+// through Go maps, values folded through func(a, b Row) Row closures.
 //
 // Both paths assign key slots in first-seen order and fold each key's
 // values in arrival order, so their outputs are byte-identical: same
@@ -21,25 +18,7 @@ package rdd
 // generic path with every already-assigned slot preserved (the same
 // contract keyIndex.degrade has). FuzzColumnarRowEquivalence and the
 // TestColumnar* unit tests in col_test.go pin this equivalence; the
-// detbench FNV gates pin it end to end.
-//
-// SetColumnar(false) forces every operator onto the generic path — CI
-// diffs detbench exports columnar-on vs columnar-off to prove the two
-// planes byte-identical (see .github/workflows/ci.yml).
-
-import "sync/atomic"
-
-// columnarOff is set when the columnar kernels are disabled. Inverted so
-// the zero value means enabled (the default).
-var columnarOff atomic.Bool
-
-// SetColumnar enables or disables the columnar kernels process-wide.
-// Disabled, every keyed operator runs the generic Row path; outputs are
-// byte-identical either way. Exposed as flintbench -columnar.
-func SetColumnar(on bool) { columnarOff.Store(!on) }
-
-// ColumnarEnabled reports whether the columnar kernels are in use.
-func ColumnarEnabled() bool { return !columnarOff.Load() }
+// detbench golden test pins it end to end.
 
 // fnvStr hashes a string key exactly like HashKey does (FNV-1a), without
 // the hash.Hash64 allocation. Shuffle routing depends on this equality:
@@ -191,7 +170,7 @@ func reduceRowsFloat64(rows []Row, f func(a, b float64) float64) []Row {
 // the generic fallback so merge association order — and therefore float
 // bit patterns — match the columnar fold exactly.
 func reduceTyped[V any](rows []Row, f func(a, b V) V, box func(a, b Row) Row) []Row {
-	if len(rows) == 0 || !ColumnarEnabled() {
+	if len(rows) == 0 {
 		return reduceRows(rows, box)
 	}
 	kv, ok := rows[0].(KV)
@@ -396,7 +375,7 @@ func (g *grouping) key(i int) Row {
 // carved from one flat allocation — with the slot probes running on the
 // columnar tables for int/int64/string keys.
 func groupRows(rows []Row) *grouping {
-	if len(rows) > 0 && ColumnarEnabled() {
+	if len(rows) > 0 {
 		if kv, ok := rows[0].(KV); ok {
 			switch kv.K.(type) {
 			case int:

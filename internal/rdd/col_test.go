@@ -83,9 +83,6 @@ func FuzzColumnarRowEquivalence(f *testing.F) {
 	f.Add([]byte{0xe1, 0x01, 0xe2, 0x02, 0xe1, 0x03, 0xe3, 4}) // composite keys
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows := decodeFuzzRows(data)
-		if !ColumnarEnabled() {
-			t.Fatal("fuzz harness expects the columnar default on")
-		}
 
 		// Reduce: columnar kernels vs the generic fold.
 		colReduced := reduceTyped(rows, keepLeft, firstWins)
@@ -276,49 +273,6 @@ func TestColumnarGroupDegradeMidPartition(t *testing.T) {
 		if !cok || ci != gi || cok != gok {
 			t.Fatalf("post-degrade lookup(%v) = %d,%v want %d,%v", k, ci, cok, gi, gok)
 		}
-	}
-}
-
-// SetColumnar(false) must force the generic path with identical results
-// (this is the CI columnar-off determinism leg in miniature).
-func TestSetColumnarOffIdenticalResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5eedc01a))
-	rows := make([]Row, 5000)
-	for i := range rows {
-		rows[i] = KV{K: rng.Intn(512), V: rng.Intn(100)}
-	}
-	srows := make([]Row, 3000)
-	for i := range srows {
-		srows[i] = KV{K: fmt.Sprintf("k%03d", rng.Intn(256)), V: float64(i) / 3}
-	}
-	dep := &ShuffleDep{NumOut: 20}
-
-	onReduced := reduceRowsInt(rows, intSum)
-	onF64 := reduceRowsFloat64(srows, f64Sum)
-	onBuckets := dep.BucketRows(rows)
-	onGroup := groupRows(rows)
-
-	SetColumnar(false)
-	defer SetColumnar(true)
-	if ColumnarEnabled() {
-		t.Fatal("SetColumnar(false) did not disable the columnar plane")
-	}
-	offReduced := reduceRowsInt(rows, intSum)
-	offF64 := reduceRowsFloat64(srows, f64Sum)
-	offBuckets := dep.BucketRows(rows)
-	offGroup := groupRows(rows)
-
-	if !reflect.DeepEqual(onReduced, offReduced) {
-		t.Fatal("int reduce differs columnar on vs off")
-	}
-	if !reflect.DeepEqual(onF64, offF64) {
-		t.Fatal("float64 reduce differs columnar on vs off")
-	}
-	if !reflect.DeepEqual(onBuckets, offBuckets) {
-		t.Fatal("buckets differ columnar on vs off")
-	}
-	if !reflect.DeepEqual(onGroup.order, offGroup.order) || !reflect.DeepEqual(onGroup.vals, offGroup.vals) {
-		t.Fatal("grouping differs columnar on vs off")
 	}
 }
 
